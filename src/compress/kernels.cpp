@@ -1,7 +1,6 @@
 #include "compress/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -198,13 +197,7 @@ void scalar_lorenzo_decode(const std::uint32_t* sym, std::size_t n,
 }
 
 // ---------------------------------------------------------------------
-// Dispatch: one atomic table pointer, resolved from simd::requested()
-// stepped down past variants this binary does not carry. Relaxed loads
-// are fine — the table contents are immutable statics and the pointer is
-// published before any kernel result escapes a thread.
-
-std::atomic<const detail::KernelOps*> g_active_ops{nullptr};
-std::atomic<int> g_active_isa{-1};
+// Dispatch: simd::Dispatch over detail::ops_for.
 
 /// Publishes the dispatched tier (0 scalar, 1 AVX2, 2 AVX-512) to the
 /// metrics plane so /metrics and run manifests record which code path a
@@ -215,25 +208,11 @@ void publish_isa_gauge(simd::Isa isa) {
       .set(static_cast<double>(static_cast<int>(isa)));
 }
 
-const detail::KernelOps& resolve_ops() noexcept {
-  simd::Isa isa = simd::requested();
-  const detail::KernelOps* ops = detail::ops_for(isa);
-  while (ops == nullptr && isa != simd::Isa::kScalar) {
-    isa = static_cast<simd::Isa>(static_cast<int>(isa) - 1);
-    ops = detail::ops_for(isa);
-  }
-  g_active_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-  g_active_ops.store(ops, std::memory_order_relaxed);
-  publish_isa_gauge(isa);
-  return *ops;
-}
+constinit simd::Dispatch<detail::KernelOps> g_dispatch{&detail::ops_for,
+                                                       &publish_isa_gauge};
 
 inline const detail::KernelOps& active_ops() noexcept {
-  const detail::KernelOps* ops = g_active_ops.load(std::memory_order_relaxed);
-  if (ops != nullptr) [[likely]] {
-    return *ops;
-  }
-  return resolve_ops();
+  return g_dispatch.active();
 }
 
 }  // namespace
@@ -264,18 +243,11 @@ const KernelOps* ops_for(simd::Isa isa) noexcept {
 
 }  // namespace detail
 
-simd::Isa dispatched_isa() noexcept {
-  active_ops();  // force resolution
-  return static_cast<simd::Isa>(g_active_isa.load(std::memory_order_relaxed));
-}
+simd::Isa dispatched_isa() noexcept { return g_dispatch.isa(); }
 
 bool force_isa_for_testing(simd::Isa isa) noexcept {
-  if (isa > simd::cpu_best()) return false;
-  const detail::KernelOps* ops = detail::ops_for(isa);
-  if (ops == nullptr) return false;
-  g_active_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-  g_active_ops.store(ops, std::memory_order_relaxed);
-  publish_isa_gauge(isa);
+  if (isa > simd::cpu_best() || detail::ops_for(isa) == nullptr) return false;
+  g_dispatch.select(isa);
   return true;
 }
 

@@ -4,20 +4,20 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "tensor/ops.hpp"
 
 namespace dlcomp {
 
 namespace {
 
-/// Gathers the F+1 input row pointers (z0 first, then embeddings) for one
-/// batch element.
-void collect_rows(const Matrix& z0, std::span<const Matrix> emb,
-                  std::size_t b, std::vector<const float*>& rows) {
-  rows.clear();
-  rows.push_back(z0.data() + b * z0.cols());
-  for (const auto& e : emb) {
-    rows.push_back(e.data() + b * e.cols());
-  }
+/// The F+1 interaction inputs, z0 first, as pairwise_dots sees them.
+std::vector<const Matrix*> dot_inputs(const Matrix& z0,
+                                      std::span<const Matrix> emb) {
+  std::vector<const Matrix*> inputs;
+  inputs.reserve(emb.size() + 1);
+  inputs.push_back(&z0);
+  for (const auto& e : emb) inputs.push_back(&e);
+  return inputs;
 }
 
 }  // namespace
@@ -32,23 +32,13 @@ void DotInteraction::forward(const Matrix& z0, std::span<const Matrix> emb,
   const std::size_t width = output_dim(emb.size(), dim);
   DLCOMP_CHECK(out.rows() == batch && out.cols() == width);
 
-  std::vector<const float*> rows;
-  rows.reserve(emb.size() + 1);
+  // Dense passthrough, then the upper-triangle pairwise dots.
   for (std::size_t b = 0; b < batch; ++b) {
-    collect_rows(z0, emb, b, rows);
+    const float* z = z0.data() + b * dim;
     float* dst = out.data() + b * width;
-    // Dense passthrough.
-    for (std::size_t i = 0; i < dim; ++i) dst[i] = rows[0][i];
-    // Upper-triangle pairwise dots.
-    std::size_t k = dim;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      for (std::size_t j = i + 1; j < rows.size(); ++j) {
-        float acc = 0.0f;
-        for (std::size_t d = 0; d < dim; ++d) acc += rows[i][d] * rows[j][d];
-        dst[k++] = acc;
-      }
-    }
+    for (std::size_t i = 0; i < dim; ++i) dst[i] = z[i];
   }
+  pairwise_dots(dot_inputs(z0, emb), out, dim);
 }
 
 void DotInteraction::backward(const Matrix& z0, std::span<const Matrix> emb,
@@ -66,32 +56,18 @@ void DotInteraction::backward(const Matrix& z0, std::span<const Matrix> emb,
   }
   dz0.zero();
 
-  std::vector<const float*> rows;
-  std::vector<float*> grad_rows;
-  rows.reserve(emb.size() + 1);
-  grad_rows.reserve(emb.size() + 1);
+  // Dense passthrough gradient, then d<v_i, v_j>/dv_i = v_j and vice
+  // versa, accumulated over each input's partners in ascending order.
   for (std::size_t b = 0; b < batch; ++b) {
-    collect_rows(z0, emb, b, rows);
-    grad_rows.clear();
-    grad_rows.push_back(dz0.data() + b * dim);
-    for (auto& d : demb) grad_rows.push_back(d.data() + b * dim);
-
     const float* g = dout.data() + b * width;
-    // Dense passthrough gradient.
-    for (std::size_t i = 0; i < dim; ++i) grad_rows[0][i] += g[i];
-    // d<v_i, v_j>/dv_i = v_j and vice versa.
-    std::size_t k = dim;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      for (std::size_t j = i + 1; j < rows.size(); ++j) {
-        const float gk = g[k++];
-        if (gk == 0.0f) continue;
-        for (std::size_t d = 0; d < dim; ++d) {
-          grad_rows[i][d] += gk * rows[j][d];
-          grad_rows[j][d] += gk * rows[i][d];
-        }
-      }
-    }
+    float* gz = dz0.data() + b * dim;
+    for (std::size_t i = 0; i < dim; ++i) gz[i] += g[i];
   }
+  std::vector<Matrix*> grads;
+  grads.reserve(demb.size() + 1);
+  grads.push_back(&dz0);
+  for (auto& d : demb) grads.push_back(&d);
+  pairwise_dots_backward(dot_inputs(z0, emb), dout, dim, grads);
 }
 
 void ConcatInteraction::forward(const Matrix& z0, std::span<const Matrix> emb,

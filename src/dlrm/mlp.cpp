@@ -23,16 +23,15 @@ Mlp::Mlp(std::span<const std::size_t> dims, Rng& rng) {
     layer.db.assign(out, 0.0f);
     layers_.push_back(std::move(layer));
   }
-  inputs_.resize(layers_.size());
   outputs_.resize(layers_.size());
 }
 
 const Matrix& Mlp::forward(const Matrix& x) {
   DLCOMP_CHECK_MSG(x.cols() == input_dim_,
                    "MLP input dim " << x.cols() << " != " << input_dim_);
-  const Matrix* current = &x;
+  input_ = x;  // the caller may reuse x before backward()
+  const Matrix* current = &input_;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    inputs_[l] = *current;  // cache a copy for the backward pass
     Layer& layer = layers_[l];
     outputs_[l].resize(current->rows(), layer.w.rows());
     matmul_nt(*current, layer.w, outputs_[l]);
@@ -55,7 +54,7 @@ Matrix Mlp::backward(const Matrix& dy) {
       // Gradient through the hidden ReLU (output layer is linear).
       relu_bwd(outputs_[l], grad);
     }
-    matmul_tn_accum(grad, inputs_[l], layer.dw);
+    matmul_tn_accum(grad, l == 0 ? input_ : outputs_[l - 1], layer.dw);
     bias_grad_accum(grad, layer.db);
     Matrix dx(grad.rows(), layer.w.cols());
     matmul_nn(grad, layer.w, dx);

@@ -62,9 +62,10 @@ class Mlp {
   std::size_t output_dim_ = 0;
   std::vector<Layer> layers_;
 
-  // Forward cache: inputs_[l] is the input to layer l; outputs_[l] the
-  // post-activation output.
-  std::vector<Matrix> inputs_;
+  // Forward cache: input_ is a copy of the network input; outputs_[l] the
+  // post-activation output of layer l, which doubles as layer l+1's
+  // input (backward only reads it).
+  Matrix input_;
   std::vector<Matrix> outputs_;
 };
 
