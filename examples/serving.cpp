@@ -33,7 +33,7 @@ int main() {
   BatchSchedulerConfig sched;
   sched.max_batch_samples = 256;
   sched.max_delay_s = 0.002;
-  const auto batches = BatchScheduler(sched).schedule(queries);
+  const auto batches = BatchScheduler(sched).plan(queries).batches;
   std::size_t total_samples = 0;
   for (const auto& batch : batches) total_samples += batch.total_samples();
   std::printf("coalesced into %zu batches (%.1f samples/batch mean)\n",

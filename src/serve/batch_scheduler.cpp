@@ -8,50 +8,11 @@
 
 namespace dlcomp {
 
-BatchScheduler::BatchScheduler(BatchSchedulerConfig config) : config_(config) {
-  DLCOMP_CHECK(config_.max_batch_samples > 0);
-  DLCOMP_CHECK(config_.max_delay_s >= 0.0);
-  DLCOMP_CHECK(config_.slo_s >= 0.0);
-  DLCOMP_CHECK(config_.est_service_per_sample_s >= 0.0);
-  DLCOMP_CHECK(config_.est_batch_overhead_s >= 0.0);
-  DLCOMP_CHECK(config_.modeled_servers > 0);
-}
+namespace {
 
-SchedulePlan BatchScheduler::plan(std::span<const Query> queries) const {
-  SchedulePlan out;
-  if (config_.slo_s <= 0.0) {
-    out.batches = schedule(queries);
-    return out;
-  }
-
-  // Admission: walk the stream against a modeled backlog (min-heap of
-  // per-server free times). A query whose estimated completion blows the
-  // SLO is shed and leaves the backlog untouched.
-  std::vector<Query> admitted;
-  admitted.reserve(queries.size());
-  std::priority_queue<double, std::vector<double>, std::greater<>> free_at(
-      std::greater<>{}, std::vector<double>(config_.modeled_servers, 0.0));
-  for (const Query& q : queries) {
-    const double cost =
-        config_.est_batch_overhead_s +
-        static_cast<double>(q.num_samples) * config_.est_service_per_sample_s;
-    const double start = std::max(q.arrival_s, free_at.top());
-    const double done = start + cost;
-    if (done - q.arrival_s > config_.slo_s) {
-      out.shed.push_back(q);
-      continue;
-    }
-    free_at.pop();
-    free_at.push(done);
-    admitted.push_back(q);
-  }
-
-  out.batches = schedule(admitted);
-  return out;
-}
-
-std::vector<InferenceBatch> BatchScheduler::schedule(
-    std::span<const Query> queries) const {
+/// plan()'s coalescing of the admitted queries into dispatch-order batches.
+std::vector<InferenceBatch> coalesce(const BatchSchedulerConfig& config,
+                                     std::span<const Query> queries) {
   std::vector<InferenceBatch> batches;
 
   InferenceBatch pending;
@@ -77,7 +38,7 @@ std::vector<InferenceBatch> BatchScheduler::schedule(
     // arrival, so the batch went out when its delay budget expired.
     if (!pending.queries.empty()) {
       const double deadline =
-          pending.queries.front().arrival_s + config_.max_delay_s;
+          pending.queries.front().arrival_s + config.max_delay_s;
       if (q.arrival_s > deadline) flush(deadline);
     }
 
@@ -85,7 +46,7 @@ std::vector<InferenceBatch> BatchScheduler::schedule(
     // pending batch goes out now (at q's arrival, which is still within
     // the oldest query's deadline because the check above passed).
     if (!pending.queries.empty() &&
-        pending_samples + q.num_samples > config_.max_batch_samples) {
+        pending_samples + q.num_samples > config.max_batch_samples) {
       flush(q.arrival_s);
     }
 
@@ -93,15 +54,59 @@ std::vector<InferenceBatch> BatchScheduler::schedule(
     pending_samples += q.num_samples;
 
     // A single query at or above the budget ships immediately.
-    if (pending_samples >= config_.max_batch_samples) {
+    if (pending_samples >= config.max_batch_samples) {
       flush(q.arrival_s);
     }
   }
 
   if (!pending.queries.empty()) {
-    flush(pending.queries.front().arrival_s + config_.max_delay_s);
+    flush(pending.queries.front().arrival_s + config.max_delay_s);
   }
   return batches;
+}
+
+}  // namespace
+
+BatchScheduler::BatchScheduler(BatchSchedulerConfig config) : config_(config) {
+  DLCOMP_CHECK(config_.max_batch_samples > 0);
+  DLCOMP_CHECK(config_.max_delay_s >= 0.0);
+  DLCOMP_CHECK(config_.slo_s >= 0.0);
+  DLCOMP_CHECK(config_.est_service_per_sample_s >= 0.0);
+  DLCOMP_CHECK(config_.est_batch_overhead_s >= 0.0);
+  DLCOMP_CHECK(config_.modeled_servers > 0);
+}
+
+SchedulePlan BatchScheduler::plan(std::span<const Query> queries) const {
+  SchedulePlan out;
+  if (config_.slo_s <= 0.0) {
+    out.batches = coalesce(config_, queries);
+    return out;
+  }
+
+  // Admission: walk the stream against a modeled backlog (min-heap of
+  // per-server free times). A query whose estimated completion blows the
+  // SLO is shed and leaves the backlog untouched.
+  std::vector<Query> admitted;
+  admitted.reserve(queries.size());
+  std::priority_queue<double, std::vector<double>, std::greater<>> free_at(
+      std::greater<>{}, std::vector<double>(config_.modeled_servers, 0.0));
+  for (const Query& q : queries) {
+    const double cost =
+        config_.est_batch_overhead_s +
+        static_cast<double>(q.num_samples) * config_.est_service_per_sample_s;
+    const double start = std::max(q.arrival_s, free_at.top());
+    const double done = start + cost;
+    if (done - q.arrival_s > config_.slo_s) {
+      out.shed.push_back(q);
+      continue;
+    }
+    free_at.pop();
+    free_at.push(done);
+    admitted.push_back(q);
+  }
+
+  out.batches = coalesce(config_, admitted);
+  return out;
 }
 
 }  // namespace dlcomp

@@ -26,7 +26,7 @@ struct BatchSchedulerConfig {
   /// Max time a query may wait in the pending batch before dispatch.
   double max_delay_s = 0.002;
 
-  // --- SLO admission control (plan() only; 0 slo_s disables) ---
+  // --- SLO admission control (0 slo_s disables) ---
 
   /// End-to-end latency objective. A query whose *estimated* completion
   /// (under the cost model below, against the modeled backlog) exceeds
@@ -73,16 +73,12 @@ class BatchScheduler {
     return config_;
   }
 
-  /// Coalesces `queries` (must be sorted by arrival_s) into batches in
-  /// dispatch order. Every query lands in exactly one batch (admission
-  /// control off — equivalent to plan() with slo_s = 0).
-  [[nodiscard]] std::vector<InferenceBatch> schedule(
-      std::span<const Query> queries) const;
-
-  /// Full policy: SLO admission (when slo_s > 0) followed by the same
-  /// deadline/size-aware coalescing as schedule(). Deterministic — both
-  /// phases are pure functions of the query stream and the config's cost
-  /// model, so shed counts are bit-stable across machines.
+  /// SLO admission (when slo_s > 0), then deadline/size-aware coalescing
+  /// of the admitted `queries` (must be sorted by arrival_s) into batches
+  /// in dispatch order. With slo_s = 0 every query lands in exactly one
+  /// batch. Deterministic — both phases are pure functions of the query
+  /// stream and the config's cost model, so shed counts are bit-stable
+  /// across machines.
   [[nodiscard]] SchedulePlan plan(std::span<const Query> queries) const;
 
  private:
