@@ -14,9 +14,14 @@ LinkCalibration fit_link_parameters(
   const double n = static_cast<double>(samples.size());
   double sum_x = 0.0;
   double sum_y = 0.0;
+  double sum_xx = 0.0;
+  double sum_xy = 0.0;
   for (const CalibrationSample& s : samples) {
-    sum_x += static_cast<double>(s.wire_bytes);
+    const auto x = static_cast<double>(s.wire_bytes);
+    sum_x += x;
     sum_y += s.seconds;
+    sum_xx += x * x;
+    sum_xy += x * s.seconds;
   }
   const double mean_x = sum_x / n;
   const double mean_y = sum_y / n;
@@ -31,15 +36,24 @@ LinkCalibration fit_link_parameters(
   DLCOMP_CHECK_MSG(sxx > 0.0,
                    "link calibration needs at least two distinct sizes");
 
-  const double slope = sxy / sxx;  // seconds per byte
+  double slope = sxy / sxx;  // seconds per byte
   DLCOMP_CHECK_MSG(slope > 0.0,
                    "link calibration fit has non-positive bandwidth slope"
                    " -- samples are not time-vs-bytes increasing");
 
   LinkCalibration fit;
-  // A slightly negative intercept is measurement noise on a fast
-  // loopback path; clamp instead of reporting negative latency.
-  fit.latency_seconds = std::max(0.0, mean_y - slope * mean_x);
+  fit.latency_seconds = mean_y - slope * mean_x;
+  if (fit.latency_seconds < 0.0) {
+    // A negative latency is not physical (small messages beat the line on
+    // a fast loopback path). Pin the intercept at zero and refit the
+    // slope through the origin, so the reported line is the least-squares
+    // fit under that constraint rather than the unconstrained slope.
+    fit.latency_seconds = 0.0;
+    slope = sum_xy / sum_xx;
+    DLCOMP_CHECK_MSG(slope > 0.0,
+                     "link calibration fit through the origin has"
+                     " non-positive bandwidth slope");
+  }
   fit.bandwidth_bytes_per_second = 1.0 / slope;
 
   for (const CalibrationSample& s : samples) {

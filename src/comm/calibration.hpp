@@ -41,9 +41,11 @@ struct LinkCalibration {
 };
 
 /// Ordinary least squares of seconds on bytes over `samples` (needs >= 2
-/// distinct sizes). The intercept clamps at >= 0 (a negative fitted
-/// latency is measurement noise, not physics), and the slope must be
-/// positive -- throws dlcomp::Error otherwise.
+/// distinct sizes). When the fitted intercept is negative (a negative
+/// latency is measurement noise, not physics), the latency is 0 and the
+/// slope is refit through the origin (sum xy / sum xx). The slope must be
+/// positive -- throws dlcomp::Error otherwise. `max_rel_error` is measured
+/// against the returned line.
 [[nodiscard]] LinkCalibration fit_link_parameters(
     std::span<const CalibrationSample> samples);
 

@@ -22,22 +22,24 @@ SyntheticClickDataset::SyntheticClickDataset(DatasetSpec spec,
     : spec_(std::move(spec)), seed_(seed), base_rng_(seed) {
   DLCOMP_CHECK(!spec_.tables.empty());
   samplers_.reserve(spec_.tables.size());
+  teacher_.resize(spec_.tables.size());
   for (std::size_t t = 0; t < spec_.tables.size(); ++t) {
     const auto& table = spec_.tables[t];
     samplers_.emplace_back(table.cardinality, table.zipf_exponent,
                            base_rng_.fork({0x51, t}).next_u64());
+    // Each row's weight comes from its own fork, so the table holds the
+    // same values a per-lookup draw would.
+    teacher_[t].resize(table.cardinality);
+    for (std::size_t row = 0; row < table.cardinality; ++row) {
+      teacher_[t][row] = static_cast<float>(
+          base_rng_.fork({kTeacherTag, t, row}).normal(0.0, 0.6));
+    }
   }
   Rng dense_rng = base_rng_.fork({kTeacherTag, 0xDE});
   dense_teacher_.resize(spec_.num_dense);
   for (auto& w : dense_teacher_) {
     w = static_cast<float>(dense_rng.normal(0.0, 0.5));
   }
-}
-
-float SyntheticClickDataset::teacher_weight(std::size_t table,
-                                            std::uint32_t row) const {
-  Rng rng = base_rng_.fork({kTeacherTag, table, row});
-  return static_cast<float>(rng.normal(0.0, 0.6));
 }
 
 SampleBatch SyntheticClickDataset::make_batch(std::size_t batch_size,
@@ -88,7 +90,7 @@ SampleBatch SyntheticClickDataset::generate(std::size_t batch_size,
     }
     double sparse_term = 0.0;
     for (std::size_t t = 0; t < spec_.tables.size(); ++t) {
-      sparse_term += teacher_weight(t, batch.indices[t][b]);
+      sparse_term += teacher_[t][batch.indices[t][b]];
     }
     logit += sparse_term / std::sqrt(static_cast<double>(spec_.tables.size()));
     logit += label_rng.normal(0.0, 0.35);

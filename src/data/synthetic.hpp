@@ -39,9 +39,12 @@ class SyntheticClickDataset : public BatchSource {
       std::size_t batch_size, std::uint64_t batch_index) const override;
 
   /// The teacher's per-row latent weight for (table, row); exposed so
-  /// tests can verify labels are actually learnable.
+  /// tests can verify labels are actually learnable. `row` must be below
+  /// the table's cardinality.
   [[nodiscard]] float teacher_weight(std::size_t table,
-                                     std::uint32_t row) const;
+                                     std::uint32_t row) const {
+    return teacher_[table][row];
+  }
 
  private:
   [[nodiscard]] SampleBatch generate(std::size_t batch_size, Rng rng) const;
@@ -51,6 +54,9 @@ class SyntheticClickDataset : public BatchSource {
   Rng base_rng_;
   std::vector<ZipfSampler> samplers_;
   std::vector<float> dense_teacher_;  ///< teacher weights for dense features
+  /// teacher_[t][row]: the latent weight of each row, drawn once here
+  /// rather than per lookup.
+  std::vector<std::vector<float>> teacher_;
 };
 
 }  // namespace dlcomp

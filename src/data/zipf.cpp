@@ -23,17 +23,27 @@ ZipfSampler::ZipfSampler(std::size_t n, double exponent,
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against accumulated rounding
 
+  guide_.resize(kGuide + 1);
+  for (std::size_t g = 0; g <= kGuide; ++g) {
+    const double edge = static_cast<double>(g) / kGuide;
+    guide_[g] = static_cast<std::uint32_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), edge) - cdf_.begin());
+  }
+
   permute_.resize(n);
   std::iota(permute_.begin(), permute_.end(), 0u);
   Rng perm_rng(permute_seed);
   perm_rng.shuffle(std::span<std::uint32_t>(permute_));
 }
 
-std::uint32_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto rank = static_cast<std::size_t>(std::distance(cdf_.begin(), it));
-  return permute_[std::min(rank, permute_.size() - 1)];
+std::uint32_t ZipfSampler::index_for(double u) const noexcept {
+  // u lies in [g, g + 1) / kGuide, and the first rank with cdf >= u is
+  // monotone in u, so it lies in [guide_[g], guide_[g + 1]]. That rank is
+  // at most guide_[kGuide] <= n - 1, because cdf_.back() == 1.0.
+  const auto g = static_cast<std::size_t>(u * kGuide);
+  const auto it = std::lower_bound(cdf_.begin() + guide_[g],
+                                   cdf_.begin() + guide_[g + 1], u);
+  return permute_[static_cast<std::size_t>(it - cdf_.begin())];
 }
 
 double ZipfSampler::top_probability() const noexcept {

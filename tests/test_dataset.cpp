@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 
+#include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "data/dataset_spec.hpp"
 #include "data/synthetic.hpp"
 
@@ -159,6 +162,69 @@ TEST(Synthetic, SkewedTablesRepeatIndices) {
   std::set<std::uint32_t> unique_t2(batch.indices[2].begin(),
                                     batch.indices[2].end());
   EXPECT_GT(unique_t2.size(), 110u);
+}
+
+// Generator golden: pinned CRC32s of one batch's dense features, indices
+// and labels. Any change to the generator that moves a single byte of a
+// batch (and so every loss history built on it) fails here. The indices
+// CRC runs over the tables in order.
+struct BatchCrcs {
+  std::uint32_t dense;
+  std::uint32_t indices;
+  std::uint32_t labels;
+};
+
+BatchCrcs batch_crcs(const SampleBatch& batch) {
+  std::uint32_t indices = crc32_init();
+  for (const auto& column : batch.indices) {
+    indices = crc32_update(indices,
+                           std::as_bytes(std::span<const std::uint32_t>(column)));
+  }
+  return {crc32(std::as_bytes(batch.dense.flat())), crc32_final(indices),
+          crc32(std::as_bytes(std::span<const float>(batch.labels)))};
+}
+
+void expect_crcs(const SampleBatch& batch, const BatchCrcs& want) {
+  const BatchCrcs got = batch_crcs(batch);
+  EXPECT_EQ(got.dense, want.dense);
+  EXPECT_EQ(got.indices, want.indices);
+  EXPECT_EQ(got.labels, want.labels);
+}
+
+TEST(SyntheticGolden, KaggleBatchBytes) {
+  // The benchmark's training spec, seed and global batch; kFar is an
+  // index from the window that benchmark seed 3 reads.
+  const SyntheticClickDataset data(DatasetSpec::criteo_kaggle_like(20000), 1);
+  constexpr std::uint64_t kFar = 3 * 1000003ULL + 5;
+  expect_crcs(data.make_batch(1024, 0),
+              {0xF46F745Eu, 0x85541BDDu, 0x2697AEA2u});
+  expect_crcs(data.make_batch(1024, kFar),
+              {0x9988C1F1u, 0x420C8DCCu, 0x81C25E7Bu});
+  expect_crcs(data.make_eval_batch(1024, kFar),
+              {0x314386B1u, 0x32F525AAu, 0x58C7F83Du});
+}
+
+TEST(SyntheticGolden, SmallProxyBatchBytes) {
+  const SyntheticClickDataset data(DatasetSpec::small_training_proxy(), 42);
+  expect_crcs(data.make_batch(256, 7),
+              {0x72A39BE9u, 0xD2A6E390u, 0x1AC5835Cu});
+  expect_crcs(data.make_eval_batch(256, 7),
+              {0xAF775E6Fu, 0x9A84F17Du, 0xE62A121Fu});
+}
+
+TEST(SyntheticGolden, TeacherWeightIsForkedNormal) {
+  constexpr std::uint64_t kSeed = 5;
+  const DatasetSpec spec = DatasetSpec::criteo_kaggle_like(20000);
+  const SyntheticClickDataset data(spec, kSeed);
+  const Rng base(kSeed);
+  for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+    const auto card = static_cast<std::uint32_t>(spec.tables[t].cardinality);
+    for (const std::uint32_t row : {0u, card / 3, card / 2, card - 1}) {
+      const float want =
+          static_cast<float>(base.fork({0x44, t, row}).normal(0.0, 0.6));
+      ASSERT_EQ(data.teacher_weight(t, row), want) << t << ' ' << row;
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -331,6 +333,52 @@ TEST(LinkCalibration, RecoversSyntheticParameters) {
   // The allreduce link models a different fabric and must be untouched.
   EXPECT_EQ(calibrated.allreduce_bandwidth_bytes_per_second,
             NetworkModel{}.allreduce_bandwidth_bytes_per_second);
+}
+
+TEST(LinkCalibration, NegativeInterceptRefitsThroughOrigin) {
+  // Small messages beat the line (as on a fast loopback path), so the
+  // unconstrained OLS intercept is negative.
+  const std::vector<CalibrationSample> samples = {
+      {std::uint64_t{1} << 14, 4e-6},
+      {std::uint64_t{1} << 16, 16e-6},
+      {std::uint64_t{1} << 18, 110e-6},
+      {std::uint64_t{1} << 20, 520e-6}};
+  double mean_x = 0.0;
+  double mean_y = 0.0;
+  for (const CalibrationSample& s : samples) {
+    mean_x += static_cast<double>(s.wire_bytes) / samples.size();
+    mean_y += s.seconds / samples.size();
+  }
+  double sxx = 0.0;
+  double sxy = 0.0;
+  double sum_xx = 0.0;
+  double sum_xy = 0.0;
+  for (const CalibrationSample& s : samples) {
+    const auto x = static_cast<double>(s.wire_bytes);
+    sxx += (x - mean_x) * (x - mean_x);
+    sxy += (x - mean_x) * (s.seconds - mean_y);
+    sum_xx += x * x;
+    sum_xy += x * s.seconds;
+  }
+  const double ols_slope = sxy / sxx;
+  ASSERT_LT(mean_y - ols_slope * mean_x, 0.0);
+
+  const LinkCalibration fit = fit_link_parameters(samples);
+  EXPECT_EQ(fit.latency_seconds, 0.0);
+  const double origin_slope = sum_xy / sum_xx;
+  EXPECT_NEAR(1.0 / fit.bandwidth_bytes_per_second, origin_slope,
+              origin_slope * 1e-12);
+
+  // The constrained fit predicts no worse than keeping the OLS slope
+  // with the intercept merely clamped.
+  double clamp_only_error = 0.0;
+  for (const CalibrationSample& s : samples) {
+    const double predicted = static_cast<double>(s.wire_bytes) * ols_slope;
+    clamp_only_error =
+        std::max(clamp_only_error, std::abs(predicted - s.seconds) / s.seconds);
+  }
+  EXPECT_LE(fit.max_rel_error, clamp_only_error);
+  EXPECT_GT(fit.max_rel_error, 0.0);
 }
 
 TEST(LinkCalibration, RejectsDegenerateSamples) {

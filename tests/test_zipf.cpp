@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <numeric>
+#include <set>
+#include <span>
 #include <vector>
 
+#include "common/error.hpp"
 #include "data/zipf.hpp"
 
 namespace dlcomp {
@@ -83,6 +88,49 @@ TEST(Zipf, SingleItemDomain) {
   Rng rng(6);
   EXPECT_EQ(sampler.sample(rng), 0u);
   EXPECT_DOUBLE_EQ(sampler.top_probability(), 1.0);
+}
+
+// The guided search must return exactly the index a full-range search
+// returns. The reference rebuilds the sampler's CDF and permutation the
+// way its constructor does and searches the whole CDF.
+TEST(Zipf, GuidedSearchMatchesFullSearch) {
+  constexpr std::uint64_t kPermuteSeed = 17;
+  for (const std::size_t n : {1u, 2u, 3u, 31u, 4096u, 20000u}) {
+    for (const double s : {0.0, 0.55, 1.2, 2.0}) {
+      const ZipfSampler sampler(n, s, kPermuteSeed);
+      std::vector<double> cdf(n);
+      double total = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        total += 1.0 / std::pow(static_cast<double>(k + 1), s);
+        cdf[k] = total;
+      }
+      for (auto& c : cdf) c /= total;
+      cdf.back() = 1.0;
+      std::vector<std::uint32_t> permute(n);
+      std::iota(permute.begin(), permute.end(), 0u);
+      Rng(kPermuteSeed).shuffle(std::span<std::uint32_t>(permute));
+      auto reference = [&](double u) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        const auto rank = static_cast<std::size_t>(it - cdf.begin());
+        return permute[std::min(rank, n - 1)];
+      };
+
+      std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+      for (std::size_t g = 0; g < ZipfSampler::kGuide; ++g) {
+        probes.push_back(static_cast<double>(g) / ZipfSampler::kGuide);
+      }
+      for (const double c : cdf) {
+        probes.push_back(c);
+        probes.push_back(std::nextafter(c, 0.0));
+        probes.push_back(std::nextafter(c, 1.0));
+      }
+      for (const double u : probes) {
+        if (u >= 1.0) continue;  // outside next_double()'s range
+        ASSERT_EQ(sampler.index_for(u), reference(u))
+            << "n=" << n << " s=" << s << " u=" << u;
+      }
+    }
+  }
 }
 
 TEST(Zipf, InvalidArgsThrow) {
