@@ -2,16 +2,18 @@
 // inference subsystem across query arrival patterns, comparing exact
 // embedding serving against error-bounded compressed serving (the
 // DeepRecSys-style workload the ROADMAP's "heavy traffic" north star
-// calls for, with the paper's codecs on the embedding payloads).
+// calls for). Compressed paths serve from a one-shard, zero-cache
+// ShardedEmbeddingStore, so every lookup decodes a page of the paper's
+// codecs.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/arg_parser.hpp"
-#include "common/latency_recorder.hpp"
-#include "common/table_printer.hpp"
 #include "serve/simulator.hpp"
 
 namespace {
@@ -62,44 +64,35 @@ int main(int argc, char** argv) {
       {"fp16", "fp16", 0.0},
   };
 
-  TablePrinter table({"pattern", "path", "p50 ms", "p95 ms", "p99 ms",
-                      "p99.9 ms", "achieved qps", "batch", "ratio",
-                      "max err"});
+  std::vector<ServingReport> reports;  // reserved: `rows` points into it
+  reports.reserve(std::size(patterns) * std::size(paths));
+  std::vector<std::pair<std::string, const ServingReport*>> rows;
   MetricsSnapshot all_metrics;
   for (const ArrivalPattern pattern : patterns) {
+    const std::string pattern_name(arrival_pattern_name(pattern));
     for (const CodecPath& path : paths) {
       ServingConfig config = base;
       config.load.pattern = pattern;
-      config.engine.codec = path.codec;
-      config.engine.error_bound = path.eb;
-      const ServingReport r = ServingSimulator(config).run();
+      if (*path.codec != '\0') {
+        config.store.num_shards = 1;
+        config.store.cache_budget_bytes = 0;
+        config.store.codec = path.codec;
+        config.store.error_bound = path.eb;
+      }
+      const ServingReport& r =
+          reports.emplace_back(ServingSimulator(config).run());
       std::string cell = path.label;  // "hybrid eb=0.01" -> "hybrid_eb_0.01"
       for (char& c : cell) {
         if (c == ' ' || c == '=') c = '_';
       }
-      merge_cell_metrics(all_metrics, r.metrics,
-                         std::string(arrival_pattern_name(pattern)) + "/" +
-                             cell);
-      table.add_row(
-          {std::string(arrival_pattern_name(pattern)), path.label,
-           TablePrinter::num(r.latency.p50_s * 1e3, 3),
-           TablePrinter::num(r.latency.p95_s * 1e3, 3),
-           TablePrinter::num(r.latency.p99_s * 1e3, 3),
-           TablePrinter::num(r.latency.p999_s * 1e3, 3),
-           TablePrinter::num(r.achieved_qps, 0),
-           TablePrinter::num(r.mean_batch_samples, 1),
-           r.lookup_compression_ratio > 0.0
-               ? TablePrinter::num(r.lookup_compression_ratio, 2)
-               : std::string("-"),
-           r.lookup_compression_ratio > 0.0
-               ? TablePrinter::num(r.max_lookup_error, 5)
-               : std::string("-")});
+      merge_cell_metrics(all_metrics, r.metrics, pattern_name + "/" + cell);
+      rows.emplace_back(pattern_name + " " + path.label, &r);
     }
   }
-  std::printf("%s\n", table.to_string().c_str());
+  std::printf("%s\n", format_serving_table(rows).c_str());
   std::printf(
       "latency = simulated queueing delay + measured forward wall time; "
-      "achieved qps = queries / serve wall time.\n");
+      "achieved qps = queries / busiest replica's forward time.\n");
   bench::dump_metrics(args.str("--metrics"), all_metrics);
   return 0;
 }

@@ -36,12 +36,13 @@ struct ServingConfig {
   LoadGenConfig load;
   BatchSchedulerConfig scheduler;
   EngineConfig engine;
-  /// Sharded serving tier: when store.num_shards > 0 one
+  /// Compressed serving: when store.num_shards > 0 one
   /// ShardedEmbeddingStore is built from replica 0's (checkpoint-loaded)
-  /// tables and shared by the whole fleet — every engine routes lookups
+  /// tables and shared by the whole fleet -- every engine routes lookups
   /// through it (hot cache over compressed pages) instead of its own
-  /// weights, and the engine-level codec round-trip is disabled. The
-  /// scheduler's SLO admission (scheduler.slo_s) composes independently.
+  /// weights. num_shards == 0 serves exact rows from the model's tables.
+  /// The scheduler's SLO admission (scheduler.slo_s) composes
+  /// independently.
   ShardStoreConfig store;
   /// Workload shapes (tables, dims) the engines serve.
   DatasetSpec spec;
@@ -74,17 +75,14 @@ struct ServingReport {
   double serve_wall_s = 0.0;
   double sim_span_s = 0.0;       ///< simulated arrival span of the stream
   double mean_service_s = 0.0;   ///< mean per-batch forward wall time
-  /// Compression telemetry (0 when serving exact). When the sharded store
-  /// is on these report the *store's* at-rest ratio and reconstruction
-  /// error (the engine-level round-trip is disabled then).
-  double max_lookup_error = 0.0;
-  double lookup_compression_ratio = 0.0;
 
   /// SLO admission (0 unless scheduler.slo_s > 0).
   std::size_t shed_queries = 0;
   double shed_rate = 0.0;  ///< shed / offered
 
-  /// Sharded-store telemetry (all 0 when store.num_shards == 0).
+  /// Sharded-store telemetry, compression included: the at-rest ratio
+  /// (store_stats.ratio()) and the reconstruction error against the
+  /// bound (store_stats.max_abs_error). All 0 when store.num_shards == 0.
   ShardStoreStats store_stats;
 
   /// Machine-readable telemetry under "serve/": the merged latency
@@ -96,8 +94,9 @@ struct ServingReport {
 
 class ServingSimulator {
  public:
-  /// Validates the config and builds the replica fleet (identical model
-  /// weights in every replica, deterministic in config.seed).
+  /// Validates the load, scheduler and store settings; run() builds the
+  /// replica fleet (identical model weights in every replica,
+  /// deterministic in config.seed).
   explicit ServingSimulator(ServingConfig config);
 
   /// Runs the full pipeline once and reports. Deterministic stream and
@@ -112,12 +111,9 @@ class ServingSimulator {
   ServingConfig config_;
 };
 
-/// Renders a two-row (exact vs compressed) comparison the CLI and bench
-/// print: latency percentiles, achieved QPS, compression ratio, max error.
-std::string format_serving_table(const ServingReport& exact,
-                                 const ServingReport& compressed);
-
-/// Same table with caller-chosen row labels (e.g. "exact" vs "sharded").
+/// Renders one labelled row per report (e.g. "exact" vs "sharded"):
+/// latency percentiles, achieved QPS, batch size, and the store's at-rest
+/// ratio and max error ("-" for a row served without a store).
 std::string format_serving_table(
     std::span<const std::pair<std::string, const ServingReport*>> rows);
 

@@ -1,11 +1,14 @@
 // Tests for the online serving subsystem: load-generator arrival
 // statistics, batch-scheduler invariants, latency percentile math, and
-// the compressed-embedding inference path's error bound.
+// the compressed (store-backed) inference path's error bound and byte
+// accounting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,6 +17,8 @@
 #include "serve/batch_scheduler.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/load_generator.hpp"
+#include "serve/router.hpp"
+#include "serve/shard_store.hpp"
 #include "serve/simulator.hpp"
 #include "data/synthetic.hpp"
 
@@ -207,51 +212,59 @@ TEST(LatencyRecorder, PercentilesAgainstKnownDistribution) {
   EXPECT_NEAR(recorder.summary().max_s, 2.0, 1e-12);
 }
 
-TEST(InferenceEngine, CompressedLookupsHonorErrorBound) {
+TEST(InferenceEngine, CompressedStoreHonorsErrorBound) {
+  // The compressed serving path: a one-shard, zero-cache store decodes a
+  // page for every lookup, so each served row went through the codec.
   const DatasetSpec spec = DatasetSpec::small_training_proxy(4, 16);
-  const DlrmConfig model_config;
   constexpr double kEb = 0.01;
+  InferenceEngine engine(spec, DlrmConfig{}, EngineConfig{}, 99);
 
-  EngineConfig exact_config;
-  InferenceEngine exact(spec, model_config, exact_config, 99);
-
-  EngineConfig comp_config;
-  comp_config.codec = "hybrid";
-  comp_config.error_bound = kEb;
-  InferenceEngine compressed(spec, model_config, comp_config, 99);
-  ASSERT_TRUE(compressed.compressed());
+  ShardStoreConfig store_config;
+  store_config.num_shards = 1;
+  store_config.cache_budget_bytes = 0;
+  store_config.codec = "hybrid";
+  store_config.error_bound = kEb;
+  ShardedEmbeddingStore store(spec, engine.model().tables(), store_config);
 
   const SyntheticClickDataset dataset(spec, 99);
   const SampleBatch batch = dataset.make_batch(256, 0);
 
-  // Element-wise check on the actual lookup tensors: round-tripping a
-  // table's looked-up vectors moves no element by more than the bound.
-  Matrix lookup(batch.batch_size(), spec.embedding_dim);
-  exact.model().lookup_table(0, batch.indices[0], lookup);
-  Matrix original = lookup;
-  auto transform = compressed.lookup_transform();
-  ASSERT_TRUE(transform);
-  transform(0, lookup);
+  // Element-wise check on every table's served rows against the model's
+  // own (exact) rows: no element moves by more than the bound.
+  ShardRouter router(store);
   double max_err = 0.0;
-  for (std::size_t i = 0; i < lookup.size(); ++i) {
-    max_err = std::max(max_err, static_cast<double>(std::fabs(
-                                    lookup.flat()[i] - original.flat()[i])));
+  for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+    Matrix served(batch.batch_size(), spec.embedding_dim);
+    Matrix exact(batch.batch_size(), spec.embedding_dim);
+    router.gather(t, batch.indices[t], served);
+    engine.model().lookup_table(t, batch.indices[t], exact);
+    for (std::size_t i = 0; i < served.size(); ++i) {
+      max_err = std::max(max_err, static_cast<double>(std::fabs(
+                                      served.flat()[i] - exact.flat()[i])));
+    }
   }
   EXPECT_LE(max_err, kEb * (1.0 + 1e-6));
   EXPECT_GT(max_err, 0.0);  // the codec is actually lossy here
 
-  // Full forward pass: engine-tracked error stays bounded, outputs are
-  // probabilities, and compression moved fewer bytes than raw.
-  const auto exact_probs = exact.run(batch);
-  const auto comp_probs = compressed.run(batch);
-  ASSERT_EQ(exact_probs.size(), comp_probs.size());
-  for (const float p : comp_probs) {
+  // Full forward pass through the store: outputs are probabilities.
+  engine.use_store(&store);
+  for (const float p : engine.run(batch)) {
     EXPECT_GE(p, 0.0f);
     EXPECT_LE(p, 1.0f);
   }
-  EXPECT_LE(compressed.max_lookup_error(), kEb * (1.0 + 1e-6));
-  EXPECT_GT(compressed.lookup_compression_ratio(), 1.0);
-  EXPECT_DOUBLE_EQ(exact.max_lookup_error(), 0.0);
+
+  // Byte accounting: nothing was served from a cache, every lookup paid
+  // a page decode, and the store holds fewer bytes than the raw tables.
+  const ShardStoreStats stats = store.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_GT(stats.pages_loaded, 0u);
+  std::size_t table_bytes = 0;
+  for (const EmbeddingTable& table : engine.model().tables()) {
+    table_bytes += table.weights().size() * sizeof(float);
+  }
+  EXPECT_EQ(stats.input_bytes, table_bytes);
+  EXPECT_LT(stats.stored_bytes, stats.input_bytes);
+  EXPECT_LE(stats.max_abs_error, kEb * (1.0 + 1e-6));
 }
 
 TEST(ServingSimulator, EndToEndExactVsCompressed) {
@@ -270,22 +283,41 @@ TEST(ServingSimulator, EndToEndExactVsCompressed) {
   EXPECT_GT(exact.batches, 0u);
   EXPECT_GT(exact.achieved_qps, 0.0);
   EXPECT_GT(exact.samples, 0u);
-  EXPECT_DOUBLE_EQ(exact.lookup_compression_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(exact.store_stats.ratio(), 0.0);
+  EXPECT_DOUBLE_EQ(exact.metrics.value("serve/max_lookup_error"), 0.0);
   // Latency is at least the queueing term and every sample is finite.
   EXPECT_GE(exact.latency.p50_s, 0.0);
   EXPECT_GE(exact.latency.p999_s, exact.latency.p50_s);
 
-  config.engine.codec = "hybrid";
-  config.engine.error_bound = 0.01;
+  // Both replicas share one compressed store.
+  config.store.num_shards = 1;
+  config.store.cache_budget_bytes = 0;
+  config.store.codec = "hybrid";
+  config.store.error_bound = 0.01;
   ServingReport compressed = ServingSimulator(config).run();
   EXPECT_EQ(compressed.queries, 300u);
-  EXPECT_GT(compressed.lookup_compression_ratio, 1.0);
-  EXPECT_LE(compressed.max_lookup_error, 0.01 * (1.0 + 1e-6));
+  EXPECT_GT(compressed.store_stats.ratio(), 1.0);
+  EXPECT_LE(compressed.store_stats.max_abs_error, 0.01 * (1.0 + 1e-6));
+  EXPECT_EQ(compressed.metrics.value("serve/max_lookup_error"),
+            compressed.store_stats.max_abs_error);
+  EXPECT_EQ(compressed.store_stats.hits, 0u);
 
   // The comparison table renders one line per path plus the header.
-  const std::string table = format_serving_table(exact, compressed);
+  const std::pair<std::string, const ServingReport*> rows[] = {
+      {"exact", &exact}, {"compressed", &compressed}};
+  const std::string table = format_serving_table(rows);
   EXPECT_NE(table.find("exact"), std::string::npos);
   EXPECT_NE(table.find("compressed"), std::string::npos);
+}
+
+TEST(ServingSimulator, RejectsZeroRowsPerPage) {
+  ServingConfig config;
+  config.spec = DatasetSpec::small_training_proxy(4, 16);
+  config.store.num_shards = 1;
+  config.store.rows_per_page = 0;
+  EXPECT_THROW((void)ServingSimulator(config), Error);
+  config.store.num_shards = 0;  // exact serving ignores the store settings
+  EXPECT_NO_THROW((void)ServingSimulator(config));
 }
 
 }  // namespace

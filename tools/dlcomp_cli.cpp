@@ -30,6 +30,7 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -464,12 +465,13 @@ constexpr const char* kServeUsage =
     "    [--replicas N] [--seed N] [--checkpoint model.dlck]\n"
     "    [--shards N] [--rows-per-page N] [--cache-mb X] [--slo-ms X]\n"
     "    [--metrics-port N] [--linger-ms N]\n"
-    "serves an exact baseline run, then a codec round-trip run -- or,\n"
-    "with --shards N > 0, a sharded-store run: tables partitioned into\n"
-    "compressed pages across N shard groups, a hot-row CLOCK cache of\n"
-    "--cache-mb MiB total in front (decompress-on-miss), lookups\n"
-    "scatter/gathered per query; --slo-ms sheds queries at admission\n"
-    "when the modeled backlog would blow the latency objective.\n"
+    "serves an exact baseline run, then a sharded-store run: tables\n"
+    "partitioned into --codec pages (eb --eb; none = raw) across\n"
+    "--shards N >= 1 shard groups (default 1), a hot-row CLOCK cache of\n"
+    "--cache-mb MiB total in front (decompress-on-miss; 0 = every\n"
+    "lookup decodes), lookups scatter/gathered per query; --slo-ms sheds\n"
+    "queries at admission when the modeled backlog would blow the\n"
+    "latency objective.\n"
     "--model picks the interaction architecture (model zoo).\n"
     "--metrics-port starts the observability HTTP server on 127.0.0.1\n"
     "(0 = ephemeral; the bound port is printed) exposing /metrics\n"
@@ -506,7 +508,6 @@ int cmd_serve(int argc, char** argv) {
   const std::string codec = args.str("--codec", "hybrid");
   const double eb = args.num("--eb", 0.01);
   const std::string checkpoint = args.str("--checkpoint");
-  const std::size_t shards = args.uint("--shards", 0);
   const double slo_ms = args.num("--slo-ms", 0.0);
   if (slo_ms > 0.0) {
     config.scheduler.slo_s = slo_ms * 1e-3;
@@ -515,8 +516,24 @@ int cmd_serve(int argc, char** argv) {
                                : std::thread::hardware_concurrency());
   }
 
-  (void)get_compressor(codec);  // fail on unknown codecs before serving
   config.engine.checkpoint_path = checkpoint;
+
+  // The comparison run's store, checked before anything serves.
+  ShardStoreConfig store;
+  store.num_shards = args.uint("--shards", 1);
+  if (store.num_shards == 0) throw Error("--shards must be >= 1");
+  store.rows_per_page = args.uint("--rows-per-page", 256);
+  const double cache_bytes = args.num("--cache-mb", 4.0) * 1024.0 * 1024.0;
+  if (!(cache_bytes >= 0.0 &&
+        cache_bytes < static_cast<double>(
+                          std::numeric_limits<std::size_t>::max()))) {
+    throw Error("--cache-mb must be a non-negative size, got " +
+                args.str("--cache-mb"));
+  }
+  store.cache_budget_bytes = static_cast<std::size_t>(cache_bytes);
+  store.codec = codec;  // "none" stores raw pages
+  store.error_bound = eb;
+  if (codec != "none") (void)get_compressor(codec);
 
   // Optional live observability plane: /metrics, /healthz, /readyz,
   // /status on loopback for the duration of the run (+ linger).
@@ -544,6 +561,10 @@ int cmd_serve(int argc, char** argv) {
     std::fflush(stdout);
   }
 
+  ServingConfig stored = config;
+  stored.store = store;
+  ServingSimulator compared(std::move(stored));  // validates before serving
+
   std::printf(
       "serving %s: %zu queries, pattern=%s, offered %.0f qps, "
       "mean query size %zu, max batch %zu samples, max delay %.2f ms%s%s\n",
@@ -555,56 +576,41 @@ int cmd_serve(int argc, char** argv) {
       checkpoint.empty() ? "" : checkpoint.c_str());
 
   board.set_state("serving exact");
-  config.engine.codec.clear();
   ServingReport exact = ServingSimulator(config).run();
   {
     std::lock_guard lock(report_mutex);
     last_report = exact.metrics;
   }
 
-  const char* variant = shards > 0 ? "sharded" : "compressed";
-  board.set_state(shards > 0 ? "serving sharded" : "serving compressed");
-  if (shards > 0) {
-    config.store.num_shards = shards;
-    config.store.rows_per_page = args.uint("--rows-per-page", 256);
-    config.store.cache_budget_bytes = static_cast<std::size_t>(
-        args.num("--cache-mb", 4.0) * 1024.0 * 1024.0);
-    config.store.codec = codec == "none" ? "" : codec;
-    config.store.error_bound = eb;
-  } else {
-    config.engine.codec = codec;
-    config.engine.error_bound = eb;
-  }
-  ServingReport compressed = ServingSimulator(config).run();
+  board.set_state("serving sharded");
+  ServingReport compressed = compared.run();
   {
     std::lock_guard lock(report_mutex);
     last_report = compressed.metrics;
   }
   board.set_state("done");
 
-  std::printf("exact:      %s\n", format_latency(exact.latency).c_str());
-  std::printf("%s: %s  (%s eb=%g)\n\n", variant,
+  const ShardStoreStats& s = compressed.store_stats;
+  std::printf("exact:   %s\n", format_latency(exact.latency).c_str());
+  std::printf("sharded: %s  (%s eb=%g)\n\n",
               format_latency(compressed.latency).c_str(), codec.c_str(), eb);
   const std::pair<std::string, const ServingReport*> rows[] = {
-      {"exact", &exact}, {variant, &compressed}};
+      {"exact", &exact}, {"sharded", &compressed}};
   std::printf("%s\n", format_serving_table(rows).c_str());
   std::printf(
-      "achieved qps: exact %.0f, %s %.0f (offered %.0f); "
-      "%s max lookup error %.6g (bound %g)\n",
-      exact.achieved_qps, variant, compressed.achieved_qps, exact.offered_qps,
-      variant, compressed.max_lookup_error, eb);
-  if (shards > 0) {
-    const ShardStoreStats& s = compressed.store_stats;
-    std::printf(
-        "store: %zu shards, %zu rows/page, cache %zu/%zu rows resident, "
-        "hit rate %.3f (%llu hits, %llu misses, %llu evictions), "
-        "%llu pages decompressed, at-rest ratio %.2f\n",
-        shards, config.store.rows_per_page, s.resident_rows, s.capacity_rows,
-        s.hit_rate(), static_cast<unsigned long long>(s.hits),
-        static_cast<unsigned long long>(s.misses),
-        static_cast<unsigned long long>(s.evictions),
-        static_cast<unsigned long long>(s.pages_loaded), s.ratio());
-  }
+      "achieved qps: exact %.0f, sharded %.0f (offered %.0f); "
+      "sharded max lookup error %.6g (bound %g)\n",
+      exact.achieved_qps, compressed.achieved_qps, exact.offered_qps,
+      s.max_abs_error, eb);
+  std::printf(
+      "store: %zu shards, %zu rows/page, cache %zu/%zu rows resident, "
+      "hit rate %.3f (%llu hits, %llu misses, %llu evictions), "
+      "%llu pages decompressed, at-rest ratio %.2f\n",
+      store.num_shards, store.rows_per_page, s.resident_rows,
+      s.capacity_rows, s.hit_rate(), static_cast<unsigned long long>(s.hits),
+      static_cast<unsigned long long>(s.misses),
+      static_cast<unsigned long long>(s.evictions),
+      static_cast<unsigned long long>(s.pages_loaded), s.ratio());
   if (config.scheduler.slo_s > 0.0) {
     std::printf("slo: %.2f ms, shed %zu/%zu queries (%.3f)\n", slo_ms,
                 compressed.shed_queries, compressed.queries,
@@ -720,8 +726,12 @@ int cmd_trace(int argc, char** argv) {
     config.load.qps = args.num("--qps", 2000.0);
     config.load.seed = seed;
     config.seed = seed;
-    config.engine.codec = codec;
-    config.engine.error_bound = eb;
+    if (!codec.empty()) {
+      // Compressed serving: a one-shard store, default hot cache.
+      config.store.num_shards = 1;
+      config.store.codec = codec;
+      config.store.error_bound = eb;
+    }
     ServingSimulator simulator(config);
 
     tracer.enable(ring);
